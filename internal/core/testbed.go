@@ -123,7 +123,9 @@ func (tb *testbed) newPool(bufSize int) *pkt.Pool {
 }
 
 // releasePools drops every pool's free list so the GC can reclaim the
-// cell's buffer high-water mark as soon as the measurement is done.
+// cell's buffer high-water mark as soon as the measurement is done. That
+// mark is mostly headers: backing bytes are carved only for buffers that
+// were ever materialized.
 // Single-threaded by the time it runs (all partition workers joined);
 // Trim reclaims remotely freed buffers first.
 func (tb *testbed) releasePools() {

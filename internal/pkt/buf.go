@@ -12,13 +12,22 @@
 // builds the contents on first use with a single copy, and CopyFrom/Clone
 // on an unmaterialized buffer moves only metadata. Simulated cycle cost is
 // charged by the components exactly as before — host bytes moving (or not)
-// is invisible to the simulation. Anything that inspects or edits real
-// bytes (probe stamping, pcap capture, header-parsing switches) goes
-// through Bytes() and therefore transparently forces materialization.
+// is invisible to the simulation. Anything that edits or exports real
+// bytes (probe stamping, header rewrites, pcap capture) goes through
+// Bytes() and therefore transparently forces materialization; header
+// parsing reads the shared image through View().
+//
+// Backing storage is lazy too: Pool.Get hands out only a buffer header,
+// and a buffer's bufSize bytes are carved from the pool's data slab the
+// first time real bytes are needed (Bytes, View on a non-template buffer,
+// materialization, CopyFrom from a materialized source, FrameSpec.Build).
+// A buffer that stays template-backed for its whole life never owns any;
+// a recycled buffer keeps whatever storage it already has.
 package pkt
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/units"
@@ -26,7 +35,7 @@ import (
 
 // Buf is one packet buffer plus simulation metadata.
 type Buf struct {
-	data []byte // backing storage, fixed capacity
+	data []byte // backing storage: nil until store carves it
 	len  int    // frame length
 
 	// tmpl, when non-nil, is the frame image this buffer logically
@@ -60,6 +69,8 @@ type Buf struct {
 func (b *Buf) Bytes() []byte {
 	if b.tmpl != nil {
 		b.materialize()
+	} else {
+		b.store()
 	}
 	return b.data[:b.len]
 }
@@ -76,6 +87,8 @@ func (b *Buf) View() []byte {
 			return b.tmpl.data[:b.len]
 		}
 		b.materialize()
+	} else {
+		b.store()
 	}
 	return b.data[:b.len]
 }
@@ -91,14 +104,24 @@ func (b *Buf) Template() *Template { return b.tmpl }
 func (b *Buf) materialize() {
 	t := b.tmpl
 	b.tmpl = nil
+	b.store()
 	n := copy(b.data[:b.len], t.data)
 	for i := n; i < b.len; i++ {
 		b.data[i] = 0
 	}
 }
 
-// Materialized reports whether the frame's bytes are backed by real
-// storage (false while the buffer only references a Template).
+// store gives b its backing storage on first need. Storage never carved
+// reads as zeros, exactly like a freshly carved slab, so deferring the
+// carve changes no byte any reader sees.
+func (b *Buf) store() {
+	if b.data == nil {
+		b.data = b.pool.carve()
+	}
+}
+
+// Materialized reports whether the frame's bytes live in the buffer itself
+// (false while the buffer only references a Template).
 func (b *Buf) Materialized() bool { return b.tmpl == nil }
 
 // SetTemplate makes b a metadata-only frame whose logical contents are t's
@@ -113,10 +136,9 @@ func (b *Buf) Len() int { return b.len }
 
 // SetLen resizes the frame within the buffer's capacity.
 func (b *Buf) SetLen(n int) {
-	if n < 0 || n > cap(b.data) {
-		panic(fmt.Sprintf("pkt: SetLen(%d) outside capacity %d", n, cap(b.data)))
+	if n < 0 || n > b.pool.bufSize {
+		panic(fmt.Sprintf("pkt: SetLen(%d) outside capacity %d", n, b.pool.bufSize))
 	}
-	b.data = b.data[:cap(b.data)]
 	b.len = n
 }
 
@@ -131,7 +153,7 @@ func (b *Buf) CopyFrom(src *Buf) {
 		b.tmpl = src.tmpl
 	} else {
 		b.tmpl = nil
-		copy(b.data[:src.len], src.data[:src.len])
+		copy(b.Bytes(), src.Bytes())
 	}
 	b.Seq = src.Seq
 	b.Probe = src.Probe
@@ -197,17 +219,24 @@ func (t *Template) Derive(edit func(data []byte)) *Template {
 
 // Pool is a free list of equal-capacity buffers. It grows on demand so that
 // component buffering limits (rings) — not the pool — bound memory use.
-// Growth carves buffers out of slab allocations (DPDK mempool style) so
-// warming a pool to its high-water mark costs a handful of allocations,
-// not one per buffer.
+// Growth carves buffer headers out of slab allocations (DPDK mempool
+// style) so warming a pool to its high-water mark costs a handful of
+// allocations, not one per buffer. Backing bytes come from a second slab,
+// carved per buffer only when it first needs real bytes (Buf.store), so
+// template-backed traffic never allocates or zeroes frame storage.
 type Pool struct {
 	free    []*Buf
 	bufSize int
 	live    int // checked-out buffers
 	total   int // ever allocated
 
-	slabData []byte // unclaimed backing storage
-	slabBufs []Buf  // unclaimed headers
+	slabBufs []Buf // unclaimed headers
+
+	// slabData is unclaimed backing storage. A buffer may first need
+	// bytes on whichever partition it has travelled to, so carving is
+	// serialized by slabMu; it happens at most once per buffer.
+	slabMu   sync.Mutex
+	slabData []byte
 
 	// shared marks a pool whose buffers may be freed from goroutines
 	// other than the owner's (partitioned runs: a generator-side sink
@@ -245,13 +274,10 @@ func (p *Pool) Get(frameLen int) *Buf {
 		p.free = p.free[:n-1]
 	} else {
 		if len(p.slabBufs) == 0 {
-			p.slabData = make([]byte, slabCount*p.bufSize)
 			p.slabBufs = make([]Buf, slabCount)
 		}
 		b = &p.slabBufs[0]
 		p.slabBufs = p.slabBufs[1:]
-		b.data = p.slabData[:p.bufSize:p.bufSize]
-		p.slabData = p.slabData[p.bufSize:]
 		b.pool = p
 		p.total++
 	}
@@ -265,6 +291,18 @@ func (p *Pool) Get(frameLen int) *Buf {
 	b.Ingress = 0
 	b.AvailAt = 0
 	return b
+}
+
+// carve returns bufSize bytes of fresh, zeroed backing storage.
+func (p *Pool) carve() []byte {
+	p.slabMu.Lock()
+	defer p.slabMu.Unlock()
+	if len(p.slabData) == 0 {
+		p.slabData = make([]byte, slabCount*p.bufSize)
+	}
+	d := p.slabData[:p.bufSize:p.bufSize]
+	p.slabData = p.slabData[p.bufSize:]
+	return d
 }
 
 // Clone returns a pool buffer holding a copy of src (metadata-only if src
@@ -339,7 +377,10 @@ func (p *Pool) Trim(max int) {
 	p.free = p.free[:max]
 	if max == 0 {
 		p.free = nil // release the spine too
-		p.slabData, p.slabBufs = nil, nil
+		p.slabBufs = nil
+		p.slabMu.Lock()
+		p.slabData = nil
+		p.slabMu.Unlock()
 	}
 }
 

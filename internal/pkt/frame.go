@@ -23,6 +23,7 @@ const MinProbeFrameLen = EthHdrLen + IPv4HdrLen + UDPHdrLen + probeLen
 func (s FrameSpec) Build(b *Buf) {
 	b.SetLen(s.FrameLen)
 	b.tmpl = nil // overwriting: the old image is irrelevant
+	b.store()
 	s.buildInto(b.data[:s.FrameLen])
 }
 

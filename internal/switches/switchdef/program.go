@@ -15,8 +15,6 @@ package switchdef
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 
 	"repro/internal/pkt"
 )
@@ -70,9 +68,9 @@ type RuleActionKind int
 // Rule action kinds.
 const (
 	RuleOutput    RuleActionKind = iota // forward to Port
-	RuleDrop                           // discard
-	RuleSetEthDst                      // rewrite destination MAC, then continue
-	RuleSetEthSrc                      // rewrite source MAC, then continue
+	RuleDrop                            // discard
+	RuleSetEthDst                       // rewrite destination MAC, then continue
+	RuleSetEthSrc                       // rewrite source MAC, then continue
 )
 
 // RuleAction is one action of a rule's action list.
@@ -105,44 +103,51 @@ func (r Rule) EffectivePriority() int {
 	return r.Priority
 }
 
-// Key is the identity Revoke matches on: the effective priority plus the
-// match (fields and constrained values). Two rules with equal Key address
-// the same table slot.
-func (r Rule) Key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "p%d|f%04x", r.EffectivePriority(), uint16(r.Match.Fields))
+// RuleKey is the identity Revoke matches on: the effective priority plus
+// the match with every unconstrained field zeroed, so two rules that
+// differ only in wildcarded values share a key. It is comparable and
+// serves directly as a map key.
+type RuleKey struct {
+	Priority int
+	Match    Match
+}
+
+// Key returns r's identity. Two rules with equal Key address the same
+// table slot.
+func (r Rule) Key() RuleKey {
 	m := r.Match
+	k := Match{Fields: m.Fields}
 	if m.Fields&FInPort != 0 {
-		fmt.Fprintf(&sb, "|in%d", m.InPort)
+		k.InPort = m.InPort
 	}
 	if m.Fields&FEthDst != 0 {
-		fmt.Fprintf(&sb, "|dd%x", m.EthDst)
+		k.EthDst = m.EthDst
 	}
 	if m.Fields&FEthSrc != 0 {
-		fmt.Fprintf(&sb, "|ds%x", m.EthSrc)
+		k.EthSrc = m.EthSrc
 	}
 	if m.Fields&FEthType != 0 {
-		fmt.Fprintf(&sb, "|et%04x", m.EthType)
+		k.EthType = m.EthType
 	}
 	if m.Fields&FVLAN != 0 {
-		fmt.Fprintf(&sb, "|vl%d", m.VLAN)
+		k.VLAN = m.VLAN
 	}
 	if m.Fields&FIPSrc != 0 {
-		fmt.Fprintf(&sb, "|is%v", m.IPSrc)
+		k.IPSrc = m.IPSrc
 	}
 	if m.Fields&FIPDst != 0 {
-		fmt.Fprintf(&sb, "|id%v", m.IPDst)
+		k.IPDst = m.IPDst
 	}
 	if m.Fields&FIPProto != 0 {
-		fmt.Fprintf(&sb, "|pr%d", m.IPProto)
+		k.IPProto = m.IPProto
 	}
 	if m.Fields&FL4Src != 0 {
-		fmt.Fprintf(&sb, "|ls%d", m.L4Src)
+		k.L4Src = m.L4Src
 	}
 	if m.Fields&FL4Dst != 0 {
-		fmt.Fprintf(&sb, "|ld%d", m.L4Dst)
+		k.L4Dst = m.L4Dst
 	}
-	return sb.String()
+	return RuleKey{Priority: r.EffectivePriority(), Match: k}
 }
 
 // Programmer is the runtime rule-management surface of a switch. Every
@@ -190,14 +195,15 @@ func CrossConnectMACRules(a, b int) []Rule {
 // sync as they lower rules into their native structures.
 type RuleLedger struct {
 	rules []Rule
-	index map[string]int
+	keys  []RuleKey // keys[i] == rules[i].Key()
+	index map[RuleKey]int
 }
 
 // Put records r (replacing an existing rule with the same Key in place)
 // and reports whether it replaced.
 func (l *RuleLedger) Put(r Rule) bool {
 	if l.index == nil {
-		l.index = make(map[string]int)
+		l.index = make(map[RuleKey]int)
 	}
 	k := r.Key()
 	if i, ok := l.index[k]; ok {
@@ -206,6 +212,7 @@ func (l *RuleLedger) Put(r Rule) bool {
 	}
 	l.index[k] = len(l.rules)
 	l.rules = append(l.rules, r)
+	l.keys = append(l.keys, k)
 	return false
 }
 
@@ -227,8 +234,9 @@ func (l *RuleLedger) Delete(r Rule) bool {
 	}
 	delete(l.index, k)
 	l.rules = append(l.rules[:i], l.rules[i+1:]...)
-	for j := i; j < len(l.rules); j++ {
-		l.index[l.rules[j].Key()] = j
+	l.keys = append(l.keys[:i], l.keys[i+1:]...)
+	for j := i; j < len(l.keys); j++ {
+		l.index[l.keys[j]] = j
 	}
 	return true
 }

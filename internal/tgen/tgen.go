@@ -9,7 +9,6 @@ package tgen
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/nic"
 	"repro/internal/pkt"
@@ -65,23 +64,26 @@ type Generator struct {
 	nextProbe units.Time
 	nextDue   units.Time // rate-mode pacing
 
-	// tmpls caches one pre-serialized frame image per (frameLen, flow);
-	// emitted buffers reference it lazily instead of being built. The
-	// single-flow fixed-size common case bypasses the map via lastTmpl.
-	tmpls    map[tmplKey]*pkt.Template
-	lastKey  tmplKey
-	lastTmpl *pkt.Template
+	// tmpls caches one pre-serialized frame image per (frameLen, flow),
+	// built on first use: a dense per-flow table for each frame length
+	// in play (one, or IMIX's three). Emitted buffers reference the
+	// image lazily instead of being built.
+	tmpls []tmplTable
 
-	// zipfCDF is the precomputed flow-weight CDF when ZipfSkew is
-	// active; nil keeps the round-robin path untouched.
-	zipfCDF []float64
+	// zipf is the precomputed flow sampler when ZipfSkew is active; nil
+	// keeps the round-robin path untouched.
+	zipf *zipfTable
 
 	// Sent counts emitted frames; SentProbes the probe subset.
 	Sent       int64
 	SentProbes int64
 }
 
-type tmplKey struct{ frameLen, flow int }
+// tmplTable holds the frame images of one frame length, indexed by flow.
+type tmplTable struct {
+	frameLen int
+	byFlow   []*pkt.Template
+}
 
 // NewGenerator registers a generator with the scheduler (idle until Start).
 func NewGenerator(s *sim.Scheduler, cfg Config) *Generator {
@@ -90,18 +92,30 @@ func NewGenerator(s *sim.Scheduler, cfg Config) *Generator {
 	}
 	g := &Generator{cfg: cfg, sched: s}
 	if cfg.ZipfSkew > 0 && cfg.Flows > 1 && cfg.RNG != nil {
-		g.zipfCDF = zipfCDF(cfg.Flows, cfg.ZipfSkew)
+		g.zipf = newZipfTable(cfg.Flows, cfg.ZipfSkew)
 	}
 	g.task = s.Register(cfg.Name, g)
 	return g
 }
 
-// zipfCDF precomputes the cumulative weights of a Zipf distribution over
-// n flows: flow k has weight 1/(k+1)^s. An explicit CDF plus binary
-// search keeps the draw exact, allocation-free, and — unlike
-// rejection-based samplers — consuming exactly one RNG value per frame,
-// so the random stream's alignment is a pure function of the frame index.
-func zipfCDF(n int, s float64) []float64 {
+// zipfTable is an inverse-CDF sampler for a Zipf distribution over n
+// flows: flow k has weight 1/(k+1)^s. An explicit CDF keeps the draw
+// exact, allocation-free, and — unlike rejection-based samplers —
+// consuming exactly one RNG value per frame, so the random stream's
+// alignment is a pure function of the frame index.
+//
+// The inversion uses a Chen–Asau guide table: guide[j] is the first flow
+// whose CDF value, scaled by len(cdf), reaches j. For a draw u with
+// int(u*len(cdf)) == j every earlier flow has cdf < u (float rounding is
+// monotone), so a forward scan from guide[j] while cdf[i] < u finds the
+// same flow as a binary search (sort.SearchFloat64s), in O(1) expected
+// steps.
+type zipfTable struct {
+	cdf   []float64
+	guide []int // len(cdf)+1: u*len(cdf) may round up to len(cdf)
+}
+
+func newZipfTable(n int, s float64) *zipfTable {
 	cdf := make([]float64, n)
 	sum := 0.0
 	for k := 0; k < n; k++ {
@@ -111,13 +125,26 @@ func zipfCDF(n int, s float64) []float64 {
 	for k := range cdf {
 		cdf[k] /= sum
 	}
-	return cdf
+	m := float64(n)
+	guide := make([]int, n+1)
+	i := 0
+	for j := range guide {
+		for i < n && cdf[i]*m < float64(j) {
+			i++
+		}
+		guide[j] = i
+	}
+	return &zipfTable{cdf: cdf, guide: guide}
 }
 
-// zipfFlow draws one flow index from the precomputed CDF.
-func (g *Generator) zipfFlow() int {
-	u := g.cfg.RNG.Float64()
-	return sort.SearchFloat64s(g.zipfCDF, u)
+// flow maps a uniform draw u in [0, 1) to its flow index: the first i
+// with cdf[i] >= u.
+func (z *zipfTable) flow(u float64) int {
+	i := z.guide[int(u*float64(len(z.cdf)))]
+	for i < len(z.cdf) && z.cdf[i] < u {
+		i++
+	}
+	return i
 }
 
 // Start schedules the first burst.
@@ -129,21 +156,24 @@ func (g *Generator) Start(at units.Time) {
 
 // template returns the cached frame image for (frameLen, flow).
 func (g *Generator) template(frameLen, flow int) *pkt.Template {
-	k := tmplKey{frameLen, flow}
-	if k == g.lastKey && g.lastTmpl != nil {
-		return g.lastTmpl
+	var tab *tmplTable
+	for i := range g.tmpls {
+		if g.tmpls[i].frameLen == frameLen {
+			tab = &g.tmpls[i]
+			break
+		}
 	}
-	t, ok := g.tmpls[k]
-	if !ok {
+	if tab == nil {
+		g.tmpls = append(g.tmpls, tmplTable{frameLen, make([]*pkt.Template, max(g.cfg.Flows, 1))})
+		tab = &g.tmpls[len(g.tmpls)-1]
+	}
+	t := tab.byFlow[flow]
+	if t == nil {
 		spec := g.cfg.Spec
 		spec.FrameLen = frameLen
 		t = spec.Template(flow)
-		if g.tmpls == nil {
-			g.tmpls = map[tmplKey]*pkt.Template{}
-		}
-		g.tmpls[k] = t
+		tab.byFlow[flow] = t
 	}
-	g.lastKey, g.lastTmpl = k, t
 	return t
 }
 
@@ -163,8 +193,8 @@ func (g *Generator) emitOne(at units.Time) bool {
 	}
 	g.seq++
 	flow := 0
-	if g.zipfCDF != nil {
-		flow = g.zipfFlow()
+	if g.zipf != nil {
+		flow = g.zipf.flow(g.cfg.RNG.Float64())
 	} else if g.cfg.Flows > 1 {
 		flow = int(g.seq) % g.cfg.Flows
 	}
